@@ -140,8 +140,13 @@ struct ScenarioProgram {
   int line_of(const std::string& directive) const;
   std::vector<std::pair<std::string, int>> directive_lines;
 
-  /// Total rounds the timeline executes.
+  /// Total rounds the timeline executes (the stages whose `rounds` counts
+  /// executed rounds; a fault's is a heal bound or stall span).
   std::size_t total_rounds() const noexcept;
+  /// Caps those same stages at `cap` rounds — the `--smoke` cut.  Fault
+  /// stages keep theirs: a shorter heal bound changes the fault, not the
+  /// cost.
+  void cap_rounds(std::size_t cap);
 };
 
 /// Compiles scenario text.  Throws ProgramError on malformed input.

@@ -19,14 +19,11 @@ constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
 class SyncRuntime final : public Runtime {
  public:
   SyncRuntime(const shape::Shape& shape, const ScenarioOptions& opt)
-      : shape_(shape), sim_(shape, to_config(opt)) {}
+      : sim_(shape, to_config(opt)) {}
   SyncRuntime(const shape::Shape& shape, const SimulationConfig& config)
-      : shape_(shape), sim_(shape, config) {}
+      : sim_(shape, config) {}
 
   EngineMode mode() const noexcept override { return EngineMode::kSync; }
-  const shape::Shape& target_shape() const noexcept override {
-    return shape_;
-  }
 
   void run_round() override { sim_.run_round(); }
   std::size_t rounds_run() const noexcept override {
@@ -59,7 +56,6 @@ class SyncRuntime final : public Runtime {
     return sim_.reinject(count).size();
   }
 
-  bool supports_morph() const noexcept override { return true; }
   void morph(const std::function<space::Point(const space::Point&)>&
                  transform) override {
     sim_.morph_shape(transform);
@@ -110,7 +106,6 @@ class SyncRuntime final : public Runtime {
     return cfg;
   }
 
-  const shape::Shape& shape_;
   Simulation sim_;
 };
 
@@ -122,9 +117,6 @@ class EventsRuntime final : public Runtime {
                opt.seed) {}
 
   EngineMode mode() const noexcept override { return EngineMode::kEvents; }
-  const shape::Shape& target_shape() const noexcept override {
-    return shape_;
-  }
 
   void run_round() override {
     fleet_.run_rounds(1);
@@ -155,7 +147,6 @@ class EventsRuntime final : public Runtime {
     return positions.size();
   }
 
-  bool supports_faults() const noexcept override { return true; }
   std::size_t partition_region(
       const std::function<bool(const space::Point&)>& pred,
       std::size_t heal_rounds) override {
@@ -195,7 +186,6 @@ class EventsRuntime final : public Runtime {
     return n;
   }
 
-  bool supports_traffic() const noexcept override { return true; }
   void start_traffic(std::size_t rate, TrafficMix mix) override {
     traffic::TrafficConfig cfg;
     cfg.rate_per_round = rate;
@@ -300,9 +290,6 @@ class LiveRuntime final : public Runtime {
   ~LiveRuntime() override { fleet_.stop(); }
 
   EngineMode mode() const noexcept override { return EngineMode::kLive; }
-  const shape::Shape& target_shape() const noexcept override {
-    return shape_;
-  }
 
   void run_round() override {
     std::this_thread::sleep_for(cfg_.tick);  // one wall-clock "round"
@@ -369,8 +356,7 @@ class LiveRuntime final : public Runtime {
   std::size_t rounds_ = 0;
 };
 
-/// Thread-per-node live fleets stop being practical past this size; the
-/// same guard lived in polystyrene_sim before the factory unified setup.
+/// Thread-per-node live fleets stop being practical past this size.
 constexpr std::size_t kLiveMaxNodes = 512;
 
 }  // namespace

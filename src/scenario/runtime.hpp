@@ -11,9 +11,8 @@
 // random / explicit ids), inject, morph, measure — uniformly.
 //
 // The scenario compiler (`scenario/program.hpp`), the `poly_scenario`
-// driver, `polystyrene_sim`, and the three-phase runner all build fleets
-// through this API, so a scenario written once runs under any engine mode
-// it is valid for:
+// driver, and the three-phase runner all build fleets through this API,
+// so a scenario written once runs under any engine mode it is valid for:
 //
 //   auto rt = make_cluster(shape, {.engine = EngineMode::kEvents});
 //   rt->run_round();
@@ -119,7 +118,6 @@ class Runtime {
   virtual ~Runtime() = default;
 
   virtual EngineMode mode() const noexcept = 0;
-  virtual const shape::Shape& target_shape() const noexcept = 0;
 
   virtual void run_round() = 0;
   /// Completed rounds so far (== next measure().round + 1 ... i.e. the
@@ -145,7 +143,6 @@ class Runtime {
   virtual std::size_t inject(std::size_t count) = 0;
 
   /// Shape morphing (drift / migration / reshaping) — sync mode only.
-  virtual bool supports_morph() const noexcept { return false; }
   virtual void morph(
       const std::function<space::Point(const space::Point&)>& transform);
 
@@ -154,7 +151,6 @@ class Runtime {
   // after `heal_rounds` rounds (0 = never).  Region predicates test
   // *original* data-point positions, like crash_region.
 
-  virtual bool supports_faults() const noexcept { return false; }
   /// Partitions the region from the rest of the fleet; returns its size.
   virtual std::size_t partition_region(
       const std::function<bool(const space::Point&)>& pred,
@@ -188,7 +184,6 @@ class Runtime {
   // ---- traffic plane (events mode only; the defaults throw) --------------
   // Open-loop get/put workload over the live views (docs/TRAFFIC.md).
 
-  virtual bool supports_traffic() const noexcept { return false; }
   /// Starts (or retunes) the workload: `rate` requests per round of `mix`.
   virtual void start_traffic(std::size_t rate, TrafficMix mix);
   /// Stops injecting; in-flight requests drain as rounds run.

@@ -198,6 +198,24 @@ TEST(ProgramDiagnostics, FdFpRateOutOfRange) {
                      "out of [0, 1)");
 }
 
+TEST(ProgramDiagnostics, CountBeyondUint64IsRejected) {
+  // strtoull saturates out-of-range input; that must be an error, not a
+  // 2^64 - 1 round run.
+  expect_parse_error("shape grid:4x4\nrun 99999999999999999999999\n", 2,
+                     "out of range");
+  expect_parse_error("shape grid:4x4\ncrash ids 1,99999999999999999999\n",
+                     2, "out of range");
+}
+
+TEST(ProgramDiagnostics, RoundTotalOverflowIsRejected) {
+  // 2^64 - 1 rounds then 2 more would wrap total_rounds() to 1 and let an
+  // expect @ 1 pass the parse-time round check.
+  expect_parse_error(
+      "shape grid:4x4\nrun 18446744073709551615\nrun 2\n"
+      "expect alive > 0 @ 1\n",
+      3, "round total overflows");
+}
+
 TEST(ProgramDiagnostics, WhatIncludesFileAndLine) {
   try {
     parse_program("shape grid:4x4\nrun -3\n", "demo.poly");
